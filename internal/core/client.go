@@ -93,58 +93,52 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 	}
 	tracer := pt.NewTracer(pt.Config{BufBytes: dec.BufBytes(0)}, &rt.Meter)
 	unit := watch.NewUnit(&rt.Meter)
-	group := plan.WatchGroupFor(spec.EndpointID)
 
-	// pendingStop[tid] holds the instruction after which tracing must be
-	// disabled; the disable is performed when the thread takes its next
-	// step so that the instruction's own packets are recorded first.
-	pendingStop := make(map[int]int)
-	lastTraced := make(map[int]int)
-
-	// In the §6 extended-PT mode, tracing is simply always on: the whole
-	// point of the extension is that trace cost is low enough to keep PT
-	// running, with data packets making watchpoints unnecessary.
-	alwaysOn := plan.Feats.ExtendedPT && plan.Feats.ControlFlow
-	hooks := vm.Hooks{
-		OnStep: func(t *vm.Thread, in *ir.Instr, clock int64) {
-			rt.Meter.AddInstr(1)
-			if !plan.Feats.ControlFlow {
-				return
-			}
-			if alwaysOn {
-				if !tracer.Enabled(t.ID) {
+	var hooks vm.Hooks
+	if plan.Feats.ControlFlow {
+		// The VM calls OnStep only at the plan's start and stop points,
+		// at each thread's first step (which adds the thread's core), and
+		// at a thread's first step after a stop point. That step performs
+		// the stop's Disable, deferred so the stop instruction's own
+		// packets are recorded first. In the §6 extended-PT mode tracing
+		// is simply always on: the whole point of the extension is that
+		// trace cost is low enough to keep PT running, with data packets
+		// making watchpoints unnecessary.
+		var stopIP []int // per thread: the pending Disable's anchor, or -1
+		hooks = vm.Hooks{
+			StepFilter: plan.steps,
+			OnStep: func(t *vm.Thread, in *ir.Instr, clock int64) {
+				for len(stopIP) <= t.ID {
+					stopIP = append(stopIP, -1)
+				}
+				tracer.AddCore(t.ID)
+				if ip := stopIP[t.ID]; ip >= 0 {
+					tracer.Disable(t.ID, ip)
+					stopIP[t.ID] = -1
+				}
+				f := plan.steps[in.ID]
+				if plan.Feats.ExtendedPT || f&ptStart != 0 {
 					tracer.Enable(t.ID, in.ID)
 				}
-				tracer.InstrRetired(t.ID)
-				lastTraced[t.ID] = in.ID
-				return
-			}
-			if stopIP, ok := pendingStop[t.ID]; ok {
-				tracer.Disable(t.ID, stopIP)
-				delete(pendingStop, t.ID)
-			}
-			if plan.StartAt[in.ID] && !tracer.Enabled(t.ID) {
-				tracer.Enable(t.ID, in.ID)
-			}
-			if tracer.Enabled(t.ID) {
-				tracer.InstrRetired(t.ID)
-				lastTraced[t.ID] = in.ID
-				if plan.StopAfter[in.ID] {
-					pendingStop[t.ID] = in.ID
+				if f&vm.StepNext != 0 && tracer.Enabled(t.ID) {
+					stopIP[t.ID] = in.ID
 				}
-			}
-		},
-		OnBranch: func(t *vm.Thread, in *ir.Instr, taken bool, clock int64) {
-			if plan.Feats.ControlFlow {
+			},
+			// A thread still traced when the run ends stops at the last
+			// instruction it stepped.
+			OnLastStep: func(t *vm.Thread, in *ir.Instr) { tracer.Disable(t.ID, in.ID) },
+			OnBranch: func(t *vm.Thread, in *ir.Instr, taken bool, clock int64) {
 				tracer.Branch(t.ID, in.ID, taken)
-			}
-		},
-		OnIndirect: func(t *vm.Thread, in *ir.Instr, target *ir.Instr, clock int64) {
-			if plan.Feats.ControlFlow && (in.Op == ir.OpCall || in.Op == ir.OpRet) {
-				tracer.TIP(t.ID, in.ID, target.ID)
-			}
-		},
+			},
+			OnIndirect: func(t *vm.Thread, in *ir.Instr, target *ir.Instr, clock int64) {
+				if in.Op == ir.OpCall || in.Op == ir.OpRet {
+					tracer.TIP(t.ID, in.ID, target.ID)
+				}
+			},
+		}
 	}
+	// Loads and stores stay hooked on every access: a trap can come from
+	// any instruction that touches a watched address.
 	if plan.Feats.DataFlow && plan.Feats.ExtendedPT && plan.Feats.ControlFlow {
 		// Extended-PT data flow (§6): every shared access inside a traced
 		// region becomes a PTW packet; no debug registers, no groups.
@@ -159,8 +153,9 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 		hooks.OnStore = func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64) {
 			data(t, in, addr, val, size, clock, true)
 		}
-	} else if plan.Feats.DataFlow {
-		armedClass := make(map[string]bool)
+	} else if plan.Feats.DataFlow && plan.watchAt != nil {
+		group := int16(plan.GroupOf(spec.EndpointID) + 1)
+		var armed [watch.NumRegisters]bool // by class slot within the group
 		access := func(t *vm.Thread, in *ir.Instr, addr, val, size int64, clock int64, isWrite bool) {
 			// Arm a watchpoint the first time a tracked access touches its
 			// location class (conceptually inserted right before the
@@ -168,14 +163,11 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 			// debug register per class: the watchpoint watches "the
 			// variable", so an array walk does not drain the register
 			// file.
-			if group[in.ID] && !vm.IsStackAddr(addr) && !unit.Watched(addr, size) {
-				cls := plan.Classes[in.ID]
-				if !armedClass[cls] {
-					if _, err := unit.SetAny(watch.Watchpoint{Addr: addr, Size: size, Kind: watch.KindReadWrite}); err != nil {
-						rt.WatchMisses++
-					} else {
-						armedClass[cls] = true
-					}
+			if w := plan.watchAt[in.ID]; w.group == group && !armed[w.class] && !vm.IsStackAddr(addr) && !unit.Watched(addr, size) {
+				if _, err := unit.SetAny(watch.Watchpoint{Addr: addr, Size: size, Kind: watch.KindReadWrite}); err != nil {
+					rt.WatchMisses++
+				} else {
+					armed[w.class] = true
 				}
 			}
 			unit.CheckAccess(t.ID, in.ID, addr, size, val, isWrite, clock)
@@ -197,13 +189,12 @@ func RunInstrumentedFaults(plan *Plan, spec RunSpec, dec faults.Decision) *RunTr
 		Hooks:       hooks,
 	}, plan.Telemetry)
 	execSpan.End()
+	// The machine clock counts every retired instruction exactly once.
+	rt.Meter.AddInstr(rt.Outcome.Steps)
 
 	if plan.Feats.ControlFlow {
 		decodeSpan := plan.Telemetry.StartSpan(telemetry.PhaseDecode)
 		for _, core := range tracer.Cores() {
-			if tracer.Enabled(core) {
-				tracer.Disable(core, lastTraced[core])
-			}
 			buf, wrapped := tracer.CoreBytes(core)
 			buf = dec.CorruptTrace(buf)
 			segs, branches, data, err := pt.DecodeFull(plan.Prog, buf, wrapped)

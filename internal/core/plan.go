@@ -25,6 +25,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/slicer"
 	"repro/internal/telemetry"
+	"repro/internal/vm"
 )
 
 // Features gates Gist's three tracking techniques, enabling the Fig. 10
@@ -79,6 +80,16 @@ type Plan struct {
 	// watches "the variable", not every address a walk touches).
 	Classes map[int]string
 
+	// steps is StartAt/StopAfter compiled into the VM's step filter,
+	// indexed by instruction ID: StepAt|ptStart at start points,
+	// StepAt|StepNext at stop points. All zero in extended-PT mode,
+	// where tracing starts at each thread's first step and never stops;
+	// nil without control-flow tracking.
+	steps []vm.StepFlag
+	// watchAt is the watch groups and location classes compiled per
+	// instruction ID; nil when the plan watches nothing.
+	watchAt []watchRef
+
 	// Telemetry, when set by the server, receives the client-side phase
 	// spans (run execution, PT decode, trap collection) of every run
 	// executed under this plan. Purely observational; nil is fine and
@@ -115,7 +126,33 @@ func BuildPlan(g *cfg.TICFG, tracked []int, feats Features) *Plan {
 	if feats.DataFlow {
 		p.planDataFlow(g)
 	}
+	if feats.ControlFlow {
+		p.steps = make([]vm.StepFlag, len(p.Prog.Instrs))
+		if !feats.ExtendedPT {
+			for id := range p.StartAt {
+				p.steps[id] |= vm.StepAt | ptStart
+			}
+			for id := range p.StopAfter {
+				p.steps[id] |= vm.StepAt | vm.StepNext
+			}
+		}
+	}
 	return p
+}
+
+// ptStart is the plan's owner bit in its step filter: PT tracing starts
+// at this instruction. A stop point is an instruction flagged StepNext,
+// so the deferred Disable runs at the thread's next step.
+const ptStart vm.StepFlag = 1 << 7
+
+// watchRef is one instruction's entry in Plan.watchAt: the watch group
+// it belongs to, plus one (zero: not a watched access), and its location
+// class as a slot index within that group. A group holds at most
+// watch.NumRegisters classes, so a run tracks armed classes in a
+// fixed-size array.
+type watchRef struct {
+	group int16
+	class uint8
 }
 
 // planControlFlow places PT start/stop points (§3.2.2, Fig. 4).
@@ -218,6 +255,7 @@ func (p *Plan) planDataFlow(g *cfg.TICFG) {
 		names = append(names, cls)
 	}
 	sort.Strings(names)
+	p.watchAt = make([]watchRef, len(p.Prog.Instrs))
 	var group []int
 	nclasses := 0
 	for _, cls := range names {
@@ -226,6 +264,9 @@ func (p *Plan) planDataFlow(g *cfg.TICFG) {
 			p.WatchGroups = append(p.WatchGroups, group)
 			group = nil
 			nclasses = 0
+		}
+		for _, id := range classes[cls] {
+			p.watchAt[id] = watchRef{group: int16(len(p.WatchGroups) + 1), class: uint8(nclasses)}
 		}
 		group = append(group, classes[cls]...)
 		nclasses++
@@ -285,20 +326,6 @@ func (p *Plan) GroupOf(endpoint int) int {
 		return -1
 	}
 	return endpoint % len(p.WatchGroups)
-}
-
-// WatchGroupFor returns the set of access instructions endpoint k arms
-// watchpoints for.
-func (p *Plan) WatchGroupFor(endpoint int) map[int]bool {
-	if len(p.WatchGroups) == 0 {
-		return nil
-	}
-	grp := p.WatchGroups[endpoint%len(p.WatchGroups)]
-	m := make(map[int]bool, len(grp))
-	for _, id := range grp {
-		m[id] = true
-	}
-	return m
 }
 
 // blockRPO numbers a function's blocks in reverse postorder.

@@ -246,8 +246,7 @@ int main() {
 	// endpoint 0 and 1; between them every class is covered.
 	covered := map[int]bool{}
 	for e := 0; e < len(plan.WatchGroups); e++ {
-		grp := plan.WatchGroupFor(e)
-		for id := range grp {
+		for _, id := range plan.WatchGroups[plan.GroupOf(e)] {
 			covered[id] = true
 		}
 	}

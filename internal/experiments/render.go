@@ -210,5 +210,13 @@ func RenderVM(r *VMResult) string {
 			row.Bug, row.InterpNSOp, row.BytecodeNSOp, row.Speedup,
 			row.InterpAllocsOp, row.BytecodeAllocsOp, row.BytecodeRunsPerSec)
 	}
+	fmt.Fprintf(&b, "\nInstrumented bytecode runs by layer (ns/run; slice window σ=4; NCPU=%d)\n\n", r.NCPU)
+	fmt.Fprintf(&b, "%-13s %12s %12s %12s %12s %9s\n", "Bug", "bare", "meter", "+CF", "+DF", "+DF/bare")
+	for _, row := range r.Rows {
+		if l := row.Layers; l != nil {
+			fmt.Fprintf(&b, "%-13s %12d %12d %12d %12d %8.2fx\n",
+				row.Bug, l.BareNSOp, l.MeterNSOp, l.CFNSOp, l.DFNSOp, float64(l.DFNSOp)/float64(max(l.BareNSOp, 1)))
+		}
+	}
 	return b.String()
 }

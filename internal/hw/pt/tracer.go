@@ -1,7 +1,6 @@
 package pt
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/cost"
@@ -61,13 +60,13 @@ type coreTrace struct {
 // only.
 type Tracer struct {
 	cfg   Config
-	cores map[int]*coreTrace
+	cores []*coreTrace // indexed by core ID; nil for a core never added
 	meter *cost.Meter
 }
 
 // NewTracer returns a tracer charging costs to meter (which may be nil).
 func NewTracer(cfg Config, meter *cost.Meter) *Tracer {
-	return &Tracer{cfg: cfg.withDefaults(), cores: make(map[int]*coreTrace), meter: meter}
+	return &Tracer{cfg: cfg.withDefaults(), meter: meter}
 }
 
 // bufPool recycles per-core ring buffers across runs. A fleet executes
@@ -76,9 +75,13 @@ func NewTracer(cfg Config, meter *cost.Meter) *Tracer {
 // capacity and the next run's encoder appends into it allocation-free.
 var bufPool sync.Pool
 
+// core returns core id's state, creating it on first use.
 func (t *Tracer) core(id int) *coreTrace {
-	c, ok := t.cores[id]
-	if !ok {
+	for len(t.cores) <= id {
+		t.cores = append(t.cores, nil)
+	}
+	c := t.cores[id]
+	if c == nil {
 		c = &coreTrace{}
 		if b, ok := bufPool.Get().([]byte); ok {
 			c.buf = b[:0]
@@ -88,18 +91,39 @@ func (t *Tracer) core(id int) *coreTrace {
 	return c
 }
 
+// lookup returns core id's state, or nil if the core was never added.
+func (t *Tracer) lookup(id int) *coreTrace {
+	if id < len(t.cores) {
+		return t.cores[id]
+	}
+	return nil
+}
+
+// enabled returns core id's state if it is tracing, else nil.
+func (t *Tracer) enabled(id int) *coreTrace {
+	if c := t.lookup(id); c != nil && c.enabled {
+		return c
+	}
+	return nil
+}
+
+// AddCore registers a core so Cores lists it even if it never traces:
+// a thread that ran untraced still owns an (empty) trace buffer.
+// Enable adds its core implicitly.
+func (t *Tracer) AddCore(core int) { t.core(core) }
+
 // Release parks every core's trace buffer on the package pool and
 // detaches it from the tracer. Callers must be completely done with the
 // run's trace data — including slices returned by CoreBytes — before
 // releasing; the endpoint client calls it after the decode phase, when
 // the decoded flow has been copied into the RunTrace.
 func (t *Tracer) Release() {
-	for id, c := range t.cores {
-		if cap(c.buf) > 0 {
+	for _, c := range t.cores {
+		if c != nil && cap(c.buf) > 0 {
 			bufPool.Put(c.buf[:0])
 		}
-		delete(t.cores, id)
 	}
+	t.cores = nil
 }
 
 func (t *Tracer) charge(mc int64) {
@@ -148,7 +172,7 @@ func (t *Tracer) maybeSync(c *coreTrace, ip int) {
 }
 
 // Enabled reports whether tracing is on for the core.
-func (t *Tracer) Enabled(core int) bool { return t.core(core).enabled }
+func (t *Tracer) Enabled(core int) bool { return t.enabled(core) != nil }
 
 // Enable turns tracing on for core, anchored at instruction ip.
 func (t *Tracer) Enable(core, ip int) {
@@ -166,8 +190,8 @@ func (t *Tracer) Enable(core, ip int) {
 // truncate the reconstructed flow precisely, as real PT does on
 // asynchronous trace stops. Pass a negative lastIP to omit the FUP.
 func (t *Tracer) Disable(core, lastIP int) {
-	c := t.core(core)
-	if !c.enabled {
+	c := t.enabled(core)
+	if c == nil {
 		return
 	}
 	c.enabled = false
@@ -181,8 +205,8 @@ func (t *Tracer) Disable(core, lastIP int) {
 
 // Branch records a conditional branch outcome executed at instruction ip.
 func (t *Tracer) Branch(core, ip int, taken bool) {
-	c := t.core(core)
-	if !c.enabled {
+	c := t.enabled(core)
+	if c == nil {
 		return
 	}
 	t.maybeSync(c, ip)
@@ -201,8 +225,8 @@ func (t *Tracer) Branch(core, ip int, taken bool) {
 // TIP records an indirect control transfer (call or return) executed at
 // instruction ip with the given target.
 func (t *Tracer) TIP(core, ip, target int) {
-	c := t.core(core)
-	if !c.enabled {
+	c := t.enabled(core)
+	if c == nil {
 		return
 	}
 	t.maybeSync(c, ip)
@@ -223,8 +247,8 @@ func (t *Tracer) TIP(core, ip, target int) {
 // eliminate the need for hardware watchpoints and the complexity of a
 // cooperative approach").
 func (t *Tracer) Data(core, ip int, addr, val, size int64, isWrite bool, tsc int64) {
-	c := t.core(core)
-	if !c.enabled {
+	c := t.enabled(core)
+	if c == nil {
 		return
 	}
 	t.maybeSync(c, ip)
@@ -237,11 +261,7 @@ func (t *Tracer) Data(core, ip int, addr, val, size int64, isWrite bool, tsc int
 // enabled. In hardware mode this is free; in software mode every
 // instruction pays the instrumentation tax.
 func (t *Tracer) InstrRetired(core int) {
-	c := t.core(core)
-	if !c.enabled {
-		return
-	}
-	if t.cfg.Mode == Software {
+	if t.enabled(core) != nil && t.cfg.Mode == Software {
 		t.charge(cost.SWPTInstrMC)
 	}
 }
@@ -249,18 +269,22 @@ func (t *Tracer) InstrRetired(core int) {
 // CoreBytes returns the raw trace buffer of a core and whether it wrapped.
 // Pending TNT bits are flushed first so the returned buffer is complete.
 func (t *Tracer) CoreBytes(core int) (data []byte, wrapped bool) {
-	c := t.core(core)
+	c := t.lookup(core)
+	if c == nil {
+		return nil, false
+	}
 	t.flushTNT(c)
 	return c.buf, c.wrapped
 }
 
-// Cores returns the IDs of all cores that produced trace data, sorted.
+// Cores returns the IDs of all added cores, sorted.
 func (t *Tracer) Cores() []int {
 	var ids []int
-	for id := range t.cores {
-		ids = append(ids, id)
+	for id, c := range t.cores {
+		if c != nil {
+			ids = append(ids, id)
+		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 
@@ -269,7 +293,9 @@ func (t *Tracer) Cores() []int {
 func (t *Tracer) BufferedBytes() int {
 	n := 0
 	for _, c := range t.cores {
-		n += len(c.buf)
+		if c != nil {
+			n += len(c.buf)
+		}
 	}
 	return n
 }

@@ -141,6 +141,9 @@ type Program struct {
 	inits    []globalInit
 	failMsgs []string
 	nGlobals int
+	// everyStep is the step filter a run with OnStep and no
+	// Hooks.StepFilter uses: StepAt on every instruction.
+	everyStep []vm.StepFlag
 
 	pool sync.Pool // *Machine
 }
@@ -230,6 +233,10 @@ func Compile(p *ir.Program) *Program {
 	}
 	out := c.out
 	out.code = make([]instr, 0, len(p.Instrs))
+	out.everyStep = make([]vm.StepFlag, len(p.Instrs))
+	for i := range out.everyStep {
+		out.everyStep[i] = vm.StepAt
+	}
 
 	// String-pool layout is deterministic (AddString order == Strings
 	// order), so every program string's address is a compile-time

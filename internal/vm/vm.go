@@ -64,6 +64,12 @@ type Thread struct {
 	// does not re-fire OnStep, matching how a blocking operation retires
 	// exactly once on real hardware.
 	retrying bool
+	// stepNext forces OnStep at the thread's next step past a StepFilter
+	// (set at spawn, and after an instruction flagged StepNext).
+	stepNext bool
+	// lastStep is the last instruction the thread stepped, reported by
+	// OnLastStep when the run ends.
+	lastStep *ir.Instr
 }
 
 func (t *Thread) top() *Frame { return t.Frames[len(t.Frames)-1] }
@@ -135,8 +141,18 @@ type Outcome struct {
 // execution — exactly the attachment points the corresponding hardware
 // provides.
 type Hooks struct {
-	// OnStep fires before every instruction.
+	// OnStep fires before every instruction, or only where StepFilter
+	// asks for it.
 	OnStep func(t *Thread, in *ir.Instr, clock int64)
+	// StepFilter, when non-nil, is indexed by instruction ID and must
+	// cover every instruction. OnStep then fires only at instructions
+	// flagged StepAt, at each thread's first step, and at a thread's
+	// first step after an instruction flagged StepNext. A nil filter
+	// fires OnStep at every step.
+	StepFilter []StepFlag
+	// OnLastStep fires when the run ends, once per thread that stepped
+	// and in thread order, with the last instruction the thread stepped.
+	OnLastStep func(t *Thread, in *ir.Instr)
 	// OnBranch fires at every conditional branch with its outcome.
 	OnBranch func(t *Thread, in *ir.Instr, taken bool, clock int64)
 	// OnIndirect fires at control transfers whose target is not a static
@@ -150,6 +166,19 @@ type Hooks struct {
 	// OnSpawn fires when a thread is created.
 	OnSpawn func(parent, child int, fn *ir.Func, clock int64)
 }
+
+// StepFlag is one instruction's entry in Hooks.StepFilter. The VM reads
+// only StepAt and StepNext; the filter's owner may use the other bits to
+// annotate the same instructions.
+type StepFlag uint8
+
+// Step filter flags.
+const (
+	// StepAt fires OnStep when the instruction is stepped.
+	StepAt StepFlag = 1 << iota
+	// StepNext fires OnStep at the same thread's next step.
+	StepNext
+)
 
 // Workload is the program input for one run.
 type Workload struct {
@@ -255,7 +284,7 @@ func (v *VM) RunnableThreads() int {
 // spawnThread creates a thread running fn. arg, if non-nil, is stored into
 // parameter slot 0.
 func (v *VM) spawnThread(fn *ir.Func, arg *int64, parent int) *Thread {
-	t := &Thread{ID: v.nextTID, State: ThreadRunnable}
+	t := &Thread{ID: v.nextTID, State: ThreadRunnable, stepNext: true}
 	v.nextTID++
 	v.Mem.EnsureStack(t.ID)
 	v.Threads = append(v.Threads, t)
@@ -330,6 +359,18 @@ func Run(prog *ir.Program, cfg Config) *Outcome {
 // Run executes until main returns, a fault occurs, deadlock, or the step
 // limit is reached.
 func (v *VM) Run() *Outcome {
+	out := v.run()
+	if h := v.cfg.Hooks.OnLastStep; h != nil {
+		for _, t := range v.Threads {
+			if t.lastStep != nil {
+				h(t, t.lastStep)
+			}
+		}
+	}
+	return out
+}
+
+func (v *VM) run() *Outcome {
 	for {
 		if v.fault != nil {
 			return &Outcome{Failed: true, Report: v.fault, Steps: v.Clock, Prints: v.prints}
@@ -444,9 +485,17 @@ func (v *VM) setReg(t *Thread, reg int, val int64) {
 func (v *VM) step(t *Thread) {
 	in := t.PC.Instr()
 	if !t.retrying {
-		if v.cfg.Hooks.OnStep != nil {
-			v.cfg.Hooks.OnStep(t, in, v.Clock)
+		if onStep := v.cfg.Hooks.OnStep; onStep != nil {
+			f := StepAt
+			if v.cfg.Hooks.StepFilter != nil {
+				f = v.cfg.Hooks.StepFilter[in.ID]
+			}
+			if f&StepAt != 0 || t.stepNext {
+				onStep(t, in, v.Clock)
+			}
+			t.stepNext = f&StepNext != 0
 		}
+		t.lastStep = in
 		v.Clock++
 	}
 	t.retrying = false
